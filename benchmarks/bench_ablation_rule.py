@@ -1,4 +1,4 @@
-"""A-RULE — RCV commit-rule ablation (DESIGN.md §3.3).
+"""A-RULE — RCV commit-rule ablation (docs/protocol.md, "Strict commit rule").
 
 The literal paper rule (runner-up only + sentinel) and the
 conservative all-competitors rule are proven equivalent by the

@@ -24,7 +24,7 @@ def test_fig4_regenerates(benchmark):
     fig = figure4(N_VALUES, seeds=SEEDS, _shared=shared)
     report(render_figure(fig))
 
-    # Shape assertions — the reproduction criteria from DESIGN.md.
+    # Shape assertions — the Figure 4 ordering the paper reports.
     last = N_VALUES[-1]
     idx = fig.x.index(last)
     rcv = fig.series["rcv"][idx].mean

@@ -1,6 +1,7 @@
 """Kernel microbenchmarks — the substrate's own cost.
 
-Per the profiling-first discipline (see DESIGN.md §6): the event heap
+Per the profiling-first discipline (docs/protocol.md, "Profile
+first"): the event heap
 and the Exchange/Order procedures are the simulator's hotspots.
 These benches time them in isolation so regressions in substrate
 performance are visible independently of experiment content, and they

@@ -1,6 +1,7 @@
 """Profiling harness — per-phase attribution for one cell.
 
-The perf work on this repo is hot-path-driven (DESIGN.md §6): every
+The perf work on this repo is hot-path-driven (docs/protocol.md,
+"Profile first"): every
 optimisation PR starts from "where does the N=200 cell actually
 spend its time?".  This harness keeps that attribution *in the
 repo*: it runs one cell under ``cProfile``, folds the flat profile

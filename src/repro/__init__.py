@@ -23,8 +23,9 @@ Quick start (real asyncio lock)::
         async with cluster.lock(node_id=2):
             ...  # critical section
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-paper-vs-measured record.
+See ARCHITECTURE.md for the architecture, docs/protocol.md for the
+protocol as implemented, and EXPERIMENTS.md for the paper-vs-measured
+record.
 """
 
 from repro.core import RCVConfig, RCVNode

@@ -6,7 +6,7 @@ Package layout (one module per concept in §3–4 of the paper):
 * :mod:`~repro.core.state` — the per-node System Information (SI):
   ``Next``, ``NONL`` (Node Ordered Node List), ``NSIT`` (Node System
   Information Table of per-node ``MNL`` request lists), plus the
-  completion watermark described in DESIGN.md §3.1;
+  completion watermark (docs/protocol.md, "Completion watermark");
 * :mod:`~repro.core.messages` — the three message types RM / EM / IM;
 * :mod:`~repro.core.exchange` — the Exchange procedure (§4.3);
 * :mod:`~repro.core.order` — the Order procedure and the Relative

@@ -37,7 +37,8 @@ class RCVConfig:
         Lemma 3 guarantees ordering within N−1 forwards.  If an RM
         nonetheless drains its unvisited list, ``True`` parks it at
         the current node for re-evaluation on the next state change
-        (DESIGN.md §3.4); ``False`` raises immediately, which is the
+        (docs/protocol.md, "Parking an exhausted RM"); ``False``
+        raises immediately, which is the
         assertion mode used in tests of Lemma 3.
     on_inconsistency:
         What to do when merging detects NONLs that rank tuples

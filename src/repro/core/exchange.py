@@ -2,7 +2,7 @@
 
 Merges an incoming message's snapshot (MONL + MSIT + watermark) into
 the receiving node's SI.  Steps, mirroring the paper's lines with the
-watermark clarification from DESIGN.md §3.1:
+watermark clarification (docs/protocol.md, "Completion watermark"):
 
 1. merge completion watermarks (pointwise max) — this is the robust
    form of the paper's "outdated tuple" timestamp comparisons (lines

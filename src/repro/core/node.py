@@ -16,12 +16,13 @@ Message flow for one request by node *h*:
    its request finished and, if an IM named its successor, sends the
    successor an EM (lines 17–24) — one hop of synchronization delay.
 
-Engineering notes (DESIGN.md §3): a per-node completion watermark
-implements the paper's outdated-tuple detection; an RM that exhausts
-its unvisited list while undecided is parked at the current node and
-re-evaluated whenever that node's SI changes (never observed in our
-runs, matching Lemma 3, but it turns a hypothetical protocol bug into
-a measurable counter instead of a hang).
+Engineering notes (docs/protocol.md, "Clarifications of the paper"):
+a per-node completion watermark implements the paper's outdated-tuple
+detection; an RM that exhausts its unvisited list while undecided is
+parked at the current node and re-evaluated whenever that node's SI
+changes (never observed in our runs, matching Lemma 3, but it turns a
+hypothetical protocol bug into a measurable counter instead of a
+hang).
 """
 
 from __future__ import annotations
@@ -294,7 +295,8 @@ class RCVNode(MutexNode):
             self.counters["rm_forwarded"] += 1
             return
         # Unvisited list drained while undecided — Lemma 3 says this
-        # cannot happen; park rather than deadlock (DESIGN.md §3.4).
+        # cannot happen; park rather than deadlock (docs/protocol.md,
+        # "Parking an exhausted RM").
         if not self.config.allow_revisit:
             raise ProtocolInvariantError(
                 f"RM for {msg.tup.describe()} exhausted its unvisited "

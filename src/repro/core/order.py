@@ -23,7 +23,7 @@ TP1 is node 0; we generalize it to ``0 if TP1.id != 0 else 1`` so
 the tie-break remains meaningful for every home id (for TP1 = node 0
 this reduces to the paper's constant).
 
-``strict`` (default; DESIGN.md §3.3): TP1 must beat every *visible*
+``strict`` (default; docs/protocol.md, "Strict commit rule"): TP1 must beat every *visible*
 competitor even if all unknown votes go to that competitor, and must
 also beat a hypothetical *unseen* competitor holding all unknown
 votes.  This closes the theoretical gap where a third-ranked or
@@ -184,8 +184,8 @@ def run_order(
 
     ``home_tup`` is the request tuple of the RM being processed (or
     None when re-evaluating parked state with no specific home).
-    ``excluded`` is the agreed crashed-membership set (DESIGN.md
-    exclusion extension): those rows neither vote nor count as
+    ``excluded`` is the agreed crashed-membership set (docs/protocol.md,
+    "Crashed-membership exclusion"): those rows neither vote nor count as
     unknown.  Mutates ``si`` — committed tuples move from the MNLs to
     the NONL (through the generation-tracked mutators, so vote
     caches invalidate and shared rows are copy-on-write-faulted).

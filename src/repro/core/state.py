@@ -12,7 +12,7 @@ Paper §3, Figure 2.  Per node:
   order.  The *front* of an MNL is node ``j``'s "vote" in the RCV
   tally.
 
-Clarified mechanism (DESIGN.md §3.1): ``done`` is a per-node
+Clarified mechanism (docs/protocol.md, "Completion watermark"): ``done`` is a per-node
 completion watermark — ``done[j]`` is the largest timestamp of a
 request by ``j`` known to have *finished* the CS.  A tuple
 ``<j, t>`` with ``t <= done[j]`` is outdated everywhere and pruned.

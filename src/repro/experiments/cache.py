@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -48,19 +49,28 @@ from repro.metrics.records import RunResult
 __all__ = ["CellCache"]
 
 
+#: spec fields whose normalized tuples are stored as JSON lists; every
+#: other non-str/int value is stored as its repr
+_LIST_FIELDS = frozenset({"workload", "cs_time", "delay"})
+
+
 def _spec_to_jsonable(spec) -> dict:
+    """The normalized spec as a JSON document, one entry per field.
+
+    Derived from :func:`dataclasses.fields`, so a field added to
+    :class:`~repro.experiments.parallel.CellSpec` is embedded (and
+    checked at load) with no list to edit.
+    """
     spec = spec.normalized()
-    return {
-        "algorithm": spec.algorithm,
-        "n_nodes": spec.n_nodes,
-        "seed": spec.seed,
-        "workload": list(spec.workload),
-        "cs_time": list(spec.cs_time),
-        "delay": list(spec.delay),
-        "algo_kwargs": repr(spec.algo_kwargs),
-        "faults": repr(spec.faults),
-        "retx": repr(spec.retx),
-    }
+    doc = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.name in _LIST_FIELDS:
+            value = list(value)
+        elif not isinstance(value, (str, int)):
+            value = repr(value)
+        doc[f.name] = value
+    return doc
 
 
 class CellCache:

@@ -19,7 +19,7 @@ the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.records import RunResult
@@ -307,15 +307,12 @@ def fault_sweep(
     loss/partition/crash is a *measured outcome* here (the completion
     rate quantifies it), not an error — campaign runs of the same
     cells keep the strict default and quarantine instead (see
-    docs/faults.md).  Each (algo, n, fault) family goes through the
-    warm :class:`~repro.engine.batch.CellTemplate` path, so this
-    sweep also exercises batched fault runs end to end.
+    docs/faults.md).
 
     ``retx`` runs the whole grid over the reliable (ack/retransmit)
     channel — the with-retx columns of the resilience figures
     (docs/faults.md, "Recovery").
     """
-    from repro.engine.batch import CellTemplate
     from repro.experiments.parallel import CellSpec
 
     out: Dict[str, Dict[str, Dict[int, List[RunResult]]]] = {}
@@ -323,21 +320,21 @@ def fault_sweep(
         per_label: Dict[str, Dict[int, List[RunResult]]] = {}
         for n in n_values:
             for label, faults in grid(n):
-                template = CellTemplate(
-                    CellSpec(
-                        algorithm=algo,
-                        n_nodes=n,
-                        seed=0,
-                        workload=("burst", int(requests_per_node)),
-                        faults=faults,
-                        retx=retx,
-                    )
+                spec = CellSpec(
+                    algorithm=algo,
+                    n_nodes=n,
+                    seed=0,
+                    workload=("burst", int(requests_per_node)),
+                    faults=faults,
+                    retx=retx,
                 )
-                runs = [
-                    template.run(seed, require_completion=False)
-                    for seed in seeds
+                per_label.setdefault(label, {})[n] = [
+                    run_scenario(
+                        replace(spec, seed=s).build_scenario(),
+                        require_completion=False,
+                    )
+                    for s in seeds
                 ]
-                per_label.setdefault(label, {})[n] = runs
         out[algo] = per_label
     return out
 

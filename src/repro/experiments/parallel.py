@@ -41,7 +41,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import (
     Callable,
     Dict,
@@ -355,15 +355,18 @@ class CellSpec:
         )
 
     def cache_key(self) -> str:
-        """Content address of this cell (sha256 over the normalized
-        spec repr + result-format version).
+        """Content address of this cell (sha256 over the result-format
+        version, :data:`RESULTS_EPOCH` and every normalized field
+        value, in declaration order).
 
-        Stable across processes and sessions: every field is a
-        number, string, or tuple/frozen-dataclass thereof, whose
-        reprs are deterministic (no ``PYTHONHASHSEED`` dependence).
-        Bumping :data:`repro.metrics.io.FORMAT_VERSION` (archive
-        schema) or :data:`RESULTS_EPOCH` (simulation behavior)
-        invalidates every cached cell, by construction.
+        The canon is derived from :func:`dataclasses.fields`, so a
+        field added later joins the key with no list to edit.  Stable
+        across processes and sessions: every field is a number,
+        string, or tuple/frozen-dataclass thereof, whose reprs are
+        deterministic (no ``PYTHONHASHSEED`` dependence).  Bumping
+        :data:`repro.metrics.io.FORMAT_VERSION` (archive schema) or
+        :data:`RESULTS_EPOCH` (simulation behavior) invalidates every
+        cached cell, by construction.
         """
         import hashlib
 
@@ -374,15 +377,7 @@ class CellSpec:
             (
                 FORMAT_VERSION,
                 RESULTS_EPOCH,
-                spec.algorithm,
-                spec.n_nodes,
-                spec.seed,
-                spec.workload,
-                spec.cs_time,
-                spec.delay,
-                spec.algo_kwargs,
-                spec.faults,
-                spec.retx,
+                *(getattr(spec, f.name) for f in fields(spec)),
             )
         )
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -470,52 +465,8 @@ class CellSpec:
         ).normalized()
 
 
-#: process-pinned warm templates: seed-zeroed normalized spec ->
-#: CellTemplate.  Campaign workers run many cells that differ only in
-#: seed (and x-value), so the seed-independent bindings are resolved
-#: once per (algorithm, N, workload, delay, cs_time, kwargs) family
-#: and reused across task boundaries.  Insertion-ordered dict doubles
-#: as the LRU ledger; bounded so a worker cycling through a huge grid
-#: cannot hoard templates.
-_WARM_TEMPLATES: Dict[object, object] = {}
-_WARM_TEMPLATES_CAP = 16
-
-
-def _warm_cells_enabled() -> bool:
-    """``REPRO_WARM_CELLS=0`` disables warm-template reuse (escape
-    hatch: always build every binding fresh per cell)."""
-    return os.environ.get("REPRO_WARM_CELLS", "1") != "0"
-
-
-def _warm_template(spec: CellSpec):
-    """The warm :class:`~repro.engine.batch.CellTemplate` for
-    ``spec``'s seed-independent family (building and caching it on
-    first use)."""
-    from repro.engine.batch import CellTemplate
-
-    key = replace(spec.normalized(), seed=0)
-    template = _WARM_TEMPLATES.get(key)
-    if template is None:
-        template = CellTemplate(spec)
-        if len(_WARM_TEMPLATES) >= _WARM_TEMPLATES_CAP:
-            # Drop the least recently used entry (front of the dict).
-            _WARM_TEMPLATES.pop(next(iter(_WARM_TEMPLATES)))
-        _WARM_TEMPLATES[key] = template
-    else:
-        # Refresh LRU position.
-        _WARM_TEMPLATES.pop(key)
-        _WARM_TEMPLATES[key] = template
-    return template
-
-
 def _run_cell(spec: CellSpec) -> RunResult:
-    # One construction path for every pipeline: the unified engine —
-    # reached through the process-pinned warm template so consecutive
-    # cells of one family skip the repeated spec/binding resolution.
-    # Bit-for-bit identical to a fresh build (the batched-equivalence
-    # suite pins it); REPRO_WARM_CELLS=0 restores the cold path.
-    if _warm_cells_enabled():
-        return _warm_template(spec).run(spec.seed)
+    # One construction path for every pipeline: the unified engine.
     from repro.engine import run_scenario
 
     return run_scenario(spec.build_scenario())

@@ -52,6 +52,10 @@ from repro.experiments.protocol import API_PREFIX, PROTOCOL_VERSION
 
 __all__ = ["CellServer", "PROTOCOL_VERSION", "API_PREFIX"]
 
+#: largest request body the server reads, in bytes; the biggest cell
+#: document (a Poisson N=100 cell) is about 60 KB
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 def _owner_record() -> dict:
     return {
@@ -247,16 +251,43 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     # -- plumbing ------------------------------------------------------
-    def _reply(self, code: int, payload: dict) -> None:
+    def _reply(self, code: int, payload: dict, *, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # also sets close_connection: an unread body must not be
+            # parsed as the next keep-alive request
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _body_json(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reply(
+                400,
+                {"error": f"bad Content-Length {header!r}"},
+                close=True,
+            )
+            return None
+        if length > MAX_BODY_BYTES:
+            self._reply(
+                413,
+                {
+                    "error": (
+                        f"request body of {length} bytes exceeds the "
+                        f"{MAX_BODY_BYTES}-byte limit"
+                    )
+                },
+                close=True,
+            )
+            return None
         raw = self.rfile.read(length)
         try:
             doc = json.loads(raw.decode("utf-8")) if raw else {}

@@ -1,11 +1,11 @@
 """``repro.lint`` — AST-based determinism & invariant linter.
 
-The reproduction's guarantees (bit-for-bit replay, cache-key
-soundness across all four backends, warm-template parity) rest on
-conventions that no runtime test can see being broken *by the next
-edit*: all randomness through named ``sim/rng.py`` streams, no
-wall-clock in the deterministic core, every ``CellSpec`` field in
-every cache/template key.  This package turns those conventions into
+The reproduction's guarantees (bit-for-bit replay, model-checker
+fingerprints that cover all protocol state, a versioned wire
+protocol) rest on conventions that no runtime test can see being
+broken *by the next edit*: all randomness through named
+``sim/rng.py`` streams, no wall-clock in the deterministic core,
+every node attribute in the checker's canon tables.  This package turns those conventions into
 machine-checked invariants.
 
 Run it::

@@ -8,7 +8,7 @@ under a stable id with the :func:`rule` decorator::
         ...
 
 Rules are whole-tree passes, not per-file visitors: cross-file
-invariants (cache-key completeness, registry membership) are the
+invariants (canon-table coverage, registry membership) are the
 point of this linter, and a rule that only needs per-file scanning
 simply iterates ``ctx.scan_trees()``.
 """

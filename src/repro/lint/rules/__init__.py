@@ -3,7 +3,6 @@
 function) to ship a new rule — see docs/static-analysis.md."""
 
 from repro.lint.rules import (  # noqa: F401
-    cache_key,
     counters,
     determinism,
     rng_streams,

@@ -63,7 +63,7 @@ the exact fault pattern bit for bit.  Partition and crash schedules
 are pure data — no randomness at all.
 
 :class:`FaultPlan` is the validated, stateless description (safe to
-share across seeds and warm cell templates);
+share across seeds);
 :class:`FaultyChannel` is the per-run channel wrapper layering
 drop/dup/reorder over any inner discipline; partition/crash schedules
 are driven by the engine (see
@@ -249,9 +249,7 @@ class FaultPlan:
     """A validated fault spec, unpacked for the run-time layers.
 
     Stateless — probabilities and schedules only, no RNG and no
-    counters — so one plan is safely shared across every seed of a
-    cell family (the warm :class:`~repro.engine.batch.CellTemplate`
-    relies on this).
+    counters; the per-run state lives in :class:`FaultyChannel`.
     """
 
     __slots__ = (

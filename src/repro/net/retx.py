@@ -112,9 +112,8 @@ class ReliableChannel(ChannelDiscipline):
     ``rng`` the ``net/retx`` stream (ack-loss draws only); ``plan`` the
     run's :class:`~repro.net.faults.FaultPlan` (or None) — pure data,
     consulted for the scheduled outages retransmission must bridge.
-    Per-run counters live here (the plan stays shareable across seeds
-    and warm cell templates, like :class:`~repro.net.faults
-    .FaultyChannel`'s).
+    Per-run counters live here, so the plan stays pure data (as with
+    :class:`~repro.net.faults.FaultyChannel`).
     """
 
     #: the Network defers partition / crashed-destination suppression

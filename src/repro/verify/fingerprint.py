@@ -14,8 +14,7 @@ listed in exactly one of two literal tables per structure:
 The tables are **dict literals with string-constant keys** on
 purpose: the ``state-canon`` lint rule cross-checks them, by AST,
 against the attributes actually assigned in ``RCVNode.__init__`` (and
-its bases) and ``SystemInfo.__init__`` — the same mutation-proof
-pattern as the ``cache-key`` rule.  Adding an attribute to the
+its bases) and ``SystemInfo.__init__``.  Adding an attribute to the
 protocol state without deciding its fingerprint fate fails CI.  A
 second, runtime line of defense (:func:`assert_canon_complete`)
 compares the tables against the live instance's attributes when a

@@ -2,7 +2,7 @@
 
 The central result pinned here: the paper's TP2-only commit test and
 the conservative all-competitors test are *equivalent* over every
-reachable vote configuration (DESIGN.md §3.3).
+reachable vote configuration (docs/protocol.md, "Strict commit rule").
 """
 
 from hypothesis import given, settings

@@ -9,9 +9,13 @@ campaign sharded over processes must aggregate into exactly the
 numbers a single-process sweep would print.
 """
 
+import json
+from dataclasses import fields, make_dataclass, replace
+
 import pytest
 
-from repro.experiments.cache import CellCache
+from repro.core.config import RCVConfig
+from repro.experiments.cache import CellCache, _spec_to_jsonable
 from repro.experiments.figures import burst_sweep, lambda_sweep
 from repro.experiments.parallel import (
     CellSpec,
@@ -584,3 +588,119 @@ def test_cache_key_normalization_shares_entries():
     assert bare.cache_key() != CellSpec(
         "rcv", 5, 0, ("burst", 1), delay=6.0
     ).cache_key()
+
+
+# ----------------------------------------------------------------------
+# cell identity: derived from dataclasses.fields(CellSpec)
+# ----------------------------------------------------------------------
+_BASE = CellSpec("rcv", 5, 0, ("burst", 1))
+_FIELD_NAMES = [f.name for f in fields(CellSpec)]
+
+#: per CellSpec field, a value that makes a different cell than
+#: _BASE's (a new field fails the test below until it gets one here)
+_FIELD_VARIANTS = {
+    "algorithm": "maekawa",
+    "n_nodes": 6,
+    "seed": 1,
+    "workload": ("burst", 2),
+    "cs_time": ("uniform", 8.0, 12.0),
+    "delay": ("jittered", 5.0, 2.0),
+    "algo_kwargs": (("config", RCVConfig(rule="paper")),),
+    "faults": (("drop", 0.05),),
+    "retx": ("retx", 5.0, 1.0, 100),
+}
+
+
+@pytest.mark.parametrize("name", _FIELD_NAMES)
+def test_every_field_is_part_of_cell_identity(name):
+    """Two specs differing only in one field are different cells in
+    the cache key and in the stored document, whose entries are
+    exactly the fields."""
+    other = replace(_BASE, **{name: _FIELD_VARIANTS[name]})
+    assert other.cache_key() != _BASE.cache_key()
+    assert _spec_to_jsonable(other) != _spec_to_jsonable(_BASE)
+    assert list(_spec_to_jsonable(other)) == _FIELD_NAMES
+
+
+def test_a_field_added_later_joins_cell_identity():
+    """A field added to CellSpec reaches the key and the document
+    with no list to edit."""
+    extended = make_dataclass(
+        "ExtendedCellSpec",
+        [("tag", str, "")],
+        bases=(CellSpec,),
+        frozen=True,
+    )
+    plain = extended("rcv", 5, 0, ("burst", 1))
+    tagged = extended("rcv", 5, 0, ("burst", 1), tag="x")
+    keys = {spec.cache_key() for spec in (_BASE, plain, tagged)}
+    assert len(keys) == 3
+    assert _spec_to_jsonable(tagged) == {
+        **_spec_to_jsonable(_BASE),
+        "tag": "x",
+    }
+
+
+#: (spec, cache_key, stored document) pinned before the identity was
+#: derived from the fields: a change here invalidates every cache
+_GOLDEN_IDENTITIES = {
+    "burst": (
+        CellSpec("rcv", 50, 0, ("burst", 2)),
+        "7d0e1cfda2ad4dffcdd5ff5fe3c9a84cf270fc4deda296270858828e7b4a7d87",
+        '{"algorithm": "rcv", "n_nodes": 50, "seed": 0, '
+        '"workload": ["burst", 2], "cs_time": ["constant", 10.0], '
+        '"delay": ["constant", 5.0], "algo_kwargs": "()", '
+        '"faults": "()", "retx": "()"}',
+    ),
+    "poisson-faults-retx": (
+        CellSpec(
+            "rcv", 20, 3, ("poisson", 250, 4000),
+            faults=(("reorder", 10), ("drop", 0.02)),
+            retx=("retx", 5, 1, 100),
+        ),
+        "ac9fbee344e4adac782793ff68aaf54e6a992419735b2f70ec45cbe7107d637b",
+        '{"algorithm": "rcv", "n_nodes": 20, "seed": 3, '
+        '"workload": ["poisson", 250.0, 4000.0], '
+        '"cs_time": ["constant", 10.0], "delay": ["constant", 5.0], '
+        '"algo_kwargs": "()", '
+        '"faults": "((\'drop\', 0.02), (\'reorder\', 10.0))", '
+        '"retx": "(\'retx\', 5.0, 1.0, 100)"}',
+    ),
+    "rcv-config": (
+        CellSpec(
+            "rcv", 8, 1, ("burst", 1),
+            algo_kwargs=(
+                ("config", RCVConfig(rule="paper", forwarding="sequential")),
+            ),
+        ),
+        "14c0e8634a6cd0605884f5a03222d1dd009bfb325ea8fb2ba7ae31c026767a36",
+        '{"algorithm": "rcv", "n_nodes": 8, "seed": 1, '
+        '"workload": ["burst", 1], "cs_time": ["constant", 10.0], '
+        '"delay": ["constant", 5.0], '
+        '"algo_kwargs": "((\'config\', RCVConfig(rule=\'paper\', '
+        "forwarding=\'sequential\', exchange_on_im=True, "
+        "allow_revisit=True, on_inconsistency=\'raise\', "
+        'rm_timeout=None, exclude_nodes=frozenset())),)", '
+        '"faults": "()", "retx": "()"}',
+    ),
+    "jittered": (
+        CellSpec(
+            "maekawa", 9, 7, ("burst", 1),
+            cs_time=("uniform", 5, 15), delay=("jittered", 5, 2),
+        ),
+        "6185cbac14f27fa814282406f94392686774d6c1b1328df2437c86d5977c51e9",
+        '{"algorithm": "maekawa", "n_nodes": 9, "seed": 7, '
+        '"workload": ["burst", 1], "cs_time": ["uniform", 5.0, 15.0], '
+        '"delay": ["jittered", 5.0, 2.0], "algo_kwargs": "()", '
+        '"faults": "()", "retx": "()"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_IDENTITIES))
+def test_cell_identity_matches_pinned_golden(name):
+    """Existing caches stay valid: the derived key and document equal
+    the pinned ones byte for byte."""
+    spec, key, doc = _GOLDEN_IDENTITIES[name]
+    assert spec.cache_key() == key
+    assert json.dumps(_spec_to_jsonable(spec)) == doc

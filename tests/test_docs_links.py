@@ -2,7 +2,8 @@
 
 Every relative markdown link in the documentation set must resolve to
 a real file (anchors are stripped; external http(s)/mailto links are
-skipped).  Run standalone by the CI docs step::
+skipped), and every ``*.md`` file a Python source names must exist.
+Run standalone by the CI docs step::
 
     PYTHONPATH=src python -m pytest tests/test_docs_links.py -q
 """
@@ -71,3 +72,23 @@ def test_relative_links_resolve(doc):
         if not resolved.exists():
             broken.append(target)
     assert not broken, f"{doc.name}: broken relative links {broken}"
+
+
+#: Python sources whose docstrings and comments cite documentation
+CODE_DIRS = ("src", "tests", "benchmarks")
+#: ``*.md`` names the code writes rather than cites
+_WRITTEN_MD = {"summary.md"}
+_MD_NAME = re.compile(r"(?<![\w./-])([\w./-]+\.md)\b")
+
+
+@pytest.mark.parametrize("top", CODE_DIRS)
+def test_markdown_files_named_in_code_exist(top):
+    """A cited document must exist at the repo root or under docs/."""
+    missing = set()
+    for path in (REPO / top).rglob("*.py"):
+        for name in _MD_NAME.findall(path.read_text(encoding="utf-8")):
+            if name in _WRITTEN_MD:
+                continue
+            if not any((base / name).exists() for base in (REPO, REPO / "docs")):
+                missing.add(f"{path.relative_to(REPO)}: {name}")
+    assert not missing, sorted(missing)

@@ -13,35 +13,17 @@ Covers, per docs/static-analysis.md:
 
 from __future__ import annotations
 
-import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.lint import run_lint
 from repro.lint.pragmas import parse_pragmas
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "lint_fixtures"
-
-PARALLEL = "src/repro/experiments/parallel.py"
-BATCH = "src/repro/engine/batch.py"
-CACHE = "src/repro/experiments/cache.py"
-
-CELLSPEC_FIELDS = (
-    "algorithm",
-    "n_nodes",
-    "seed",
-    "workload",
-    "cs_time",
-    "delay",
-    "algo_kwargs",
-    "faults",
-)
 
 
 def _lines(report, rule, path_suffix=None):
@@ -134,93 +116,6 @@ def test_rng_streams_missing_registry_is_itself_a_finding(tmp_path):
     report = run_lint(tmp_path, select=["rng-streams"])
     assert any(
         f.rule == "rng-streams" and "registry" in f.message
-        for f in report.findings
-    )
-
-
-# ----------------------------------------------------------------------
-# cache-key (mutation-proof)
-# ----------------------------------------------------------------------
-def _drop_field_from_canon(field_name: str) -> str:
-    """Real parallel.py with ``spec.<field>`` removed from the canon."""
-    tree = ast.parse((ROOT / PARALLEL).read_text())
-    dropped = 0
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "repr"
-            and node.args
-            and isinstance(node.args[0], ast.Tuple)
-        ):
-            elts = node.args[0].elts
-            keep = [
-                e
-                for e in elts
-                if not (
-                    isinstance(e, ast.Attribute) and e.attr == field_name
-                )
-            ]
-            dropped += len(elts) - len(keep)
-            node.args[0].elts = keep
-    assert dropped == 1, f"canon tuple does not mention spec.{field_name}"
-    return ast.unparse(tree)
-
-
-@pytest.mark.parametrize("field_name", CELLSPEC_FIELDS)
-def test_cache_key_rule_catches_any_dropped_canon_field(field_name):
-    report = run_lint(
-        ROOT,
-        select=["cache-key"],
-        overlay={PARALLEL: _drop_field_from_canon(field_name)},
-    )
-    assert any(
-        f.rule == "cache-key"
-        and f.path == PARALLEL
-        and f"{field_name!r} is missing from the cache_key canon" in f.message
-        for f in report.findings
-    ), report.findings
-
-
-def test_cache_key_rule_catches_partial_template_key():
-    source = (ROOT / PARALLEL).read_text()
-    wanted = "key = replace(spec.normalized(), seed=0)"
-    assert wanted in source
-    mutated = source.replace(
-        wanted, "key = (spec.algorithm, spec.n_nodes)"
-    )
-    report = run_lint(
-        ROOT, select=["cache-key"], overlay={PARALLEL: mutated}
-    )
-    missing = {
-        m
-        for f in report.findings
-        for m in CELLSPEC_FIELDS
-        if f"{m!r} is missing from the warm-template lookup key" in f.message
-    }
-    # every field except the two kept and the seed (exempt by design)
-    assert missing == set(CELLSPEC_FIELDS) - {"algorithm", "n_nodes", "seed"}
-
-
-def test_cache_key_rule_catches_dropped_doc_field():
-    source = (ROOT / CACHE).read_text()
-    wanted = '"workload": '
-    assert wanted in source
-    mutated = source.replace(wanted, '"work_load": ')
-    report = run_lint(ROOT, select=["cache-key"], overlay={CACHE: mutated})
-    messages = " | ".join(f.message for f in report.findings)
-    assert "'workload' is missing from the embedded cell document" in messages
-    assert "'work_load' is not a CellSpec field" in messages
-
-
-def test_cache_key_rule_catches_lost_template_key_derivation():
-    source = (ROOT / BATCH).read_text()
-    wanted = "self.key = spec"
-    assert wanted in source
-    mutated = source.replace(wanted, "self.key = spec.algorithm")
-    report = run_lint(ROOT, select=["cache-key"], overlay={BATCH: mutated})
-    assert any(
-        f.rule == "cache-key" and "CellTemplate.key" in f.message
         for f in report.findings
     )
 
@@ -409,11 +304,10 @@ def test_cli_unknown_rule_exits_two():
     assert proc.returncode == 2
 
 
-def test_cli_list_rules_names_all_six():
+def test_cli_list_rules_names_all_five():
     proc = _cli("--list-rules")
     assert proc.returncode == 0
     for rid in (
-        "cache-key",
         "counter-registry",
         "determinism",
         "rng-streams",

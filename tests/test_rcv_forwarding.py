@@ -1,4 +1,5 @@
-"""Tests for RM forwarding policies (paper future work, DESIGN.md §3.5)."""
+"""Tests for RM forwarding policies (paper future work; docs/protocol.md,
+"Forwarding policies")."""
 
 import random
 

@@ -64,7 +64,7 @@ def test_paper_single_candidate_majority():
 
 
 def test_paper_and_strict_agree_on_multiway_race():
-    """DESIGN.md §3.3: the TP2-only paper test is *equivalent* to the
+    """docs/protocol.md, "Strict commit rule": the TP2-only paper test is *equivalent* to the
     all-competitors strict test, because equal-vote candidates rank by
     id (so TP2 is the worst-case tie) and lower-vote candidates are
     strictly dominated.  This pins a representative multiway case; the

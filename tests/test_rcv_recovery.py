@@ -169,10 +169,9 @@ def test_retx_under_rm_timeout_completes_where_timer_alone_cannot():
 
 
 def test_retx_cell_never_aliases_its_no_retx_twin():
-    """The cache-key gap this PR closes: a retx cell and its no-retx
-    twin differ ONLY in the retx field, so a key that ignored it would
-    silently serve wedge-prone results as reliable ones (or vice
-    versa) on every backend."""
+    """A retx cell and its no-retx twin differ ONLY in the retx field,
+    so a key that ignored it would silently serve wedge-prone results
+    as reliable ones (or vice versa) on every backend."""
     from dataclasses import replace as dc_replace
 
     from repro.experiments.parallel import CellSpec

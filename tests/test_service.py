@@ -12,11 +12,17 @@ the typed unavailability error.
 
 import http.client
 import json
+import socket
 
 import pytest
 
 from repro.experiments.backends import BackendUnavailableError, ServiceBackend
-from repro.experiments.service import API_PREFIX, PROTOCOL_VERSION, CellServer
+from repro.experiments.service import (
+    API_PREFIX,
+    MAX_BODY_BYTES,
+    PROTOCOL_VERSION,
+    CellServer,
+)
 
 
 @pytest.fixture
@@ -158,6 +164,50 @@ def test_malformed_requests_get_400_not_500(server):
         assert conn.getresponse().status == 400
     finally:
         conn.close()
+
+
+def _post_with_length(server, content_length, body=b""):
+    """Status line and JSON reply of a POST whose Content-Length header
+    is sent verbatim; the socket stays open, so a server that waits for
+    the body times the test out instead of answering."""
+    request = (
+        f"POST {API_PREFIX}/claim HTTP/1.1\r\n"
+        f"Host: {server.host}\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode() + body
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = sock.makefile("rb")
+        status = int(reply.readline().split()[1])
+        headers = {}
+        for line in iter(reply.readline, b"\r\n"):
+            name, _, value = line.decode().partition(":")
+            headers[name.strip().lower()] = value.strip()
+        doc = json.loads(reply.read(int(headers["content-length"])))
+        return status, headers, doc
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-1"])
+def test_bad_content_length_gets_400(server, content_length):
+    status, headers, doc = _post_with_length(server, content_length)
+    assert status == 400
+    assert "Content-Length" in doc["error"]
+    assert headers["connection"] == "close"
+    assert server.state.leases == {}
+
+
+def test_oversized_body_gets_413_without_being_read(server):
+    # Only a prefix of the announced body is sent: the reply must not
+    # wait for the rest.
+    status, headers, doc = _post_with_length(
+        server, MAX_BODY_BYTES + 1, body=b'{"key": '
+    )
+    assert status == 413
+    assert str(MAX_BODY_BYTES) in doc["error"]
+    assert headers["connection"] == "close"
+    # the server keeps serving
+    status, _ = _raw(server, "GET", f"{API_PREFIX}/stats")
+    assert status == 200
 
 
 def test_unknown_endpoints_get_404(server):
